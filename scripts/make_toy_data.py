@@ -143,7 +143,6 @@ def build(out: Path, seed: int) -> None:
         "cognates": "cognates.tsv",
         "threshold": 0.3,
         "out": "out",
-        "seed": seed,
     }
     (out / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 

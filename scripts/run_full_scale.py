@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from semdiv.alignment import apply_alignment, load_alignment_matrix
+from semdiv.alignment import shared_spaces
 from semdiv.clustering import to_distance, to_newick, upgma_steps
 from semdiv.divergence import (
     load_cognate_sets,
@@ -28,7 +28,6 @@ from semdiv.divergence import (
     pairwise_summaries,
     write_similarity_csv,
 )
-from semdiv.embeddings import load_embeddings, normalize
 from semdiv.evaluation import as_percent, evaluate, load_gold_pairs
 from semdiv.falsefriends import detect, detect_batch, write_report_tsv
 
@@ -51,14 +50,6 @@ def check(label, measured, expected, tolerance):
     mark = "ok " if ok else "OFF"
     print(f"  [{mark}] {label}: measured {measured:.4f}, reference {expected} +/- {tolerance}")
     return ok
-
-
-def shared_space(data: Path, lang: str, limit: int):
-    space = normalize(load_embeddings(data / f"embeddings/wiki.{lang}.vec", lang, limit=limit))
-    if lang != "en":
-        amap = load_alignment_matrix(data / f"alignments/{lang}_to_en.txt", lang, "en")
-        space = apply_alignment(space, amap)
-    return normalize(space)
 
 
 def available_languages(data: Path, langs):
@@ -91,25 +82,34 @@ def main():
 
     print("== languages ==")
     langs = available_languages(data, ROMANCE)
-    spaces = {}
-    for lang in langs:
-        print(f"  loading + aligning {lang} ...")
-        spaces[lang] = shared_space(data, lang, args.limit)
+    print(f"  loading + aligning {' '.join(langs)} ...")
+    spaces = shared_spaces(
+        langs,
+        "en",
+        {lang: data / f"embeddings/wiki.{lang}.vec" for lang in langs},
+        {lang: {"matrix": data / f"alignments/{lang}_to_en.txt"} for lang in langs},
+        args.limit,
+    )
 
     cognate_path = data / "cognates/cognates.tsv"
     if len(langs) >= 2 and cognate_path.exists():
         print("== cognate divergence ==")
         cognates = load_cognate_sets(cognate_path)
-        summaries = pairwise_summaries(cognates, langs, spaces)
+        summaries, failures = pairwise_summaries(cognates, langs, spaces)
         matrix = matrix_from_summaries(langs, summaries)
         write_similarity_csv(matrix.labels, matrix.values, out / "similarity_matrix.csv")
         for (l1, l2), summary in summaries.items():
             reference = REFERENCE_MEANS.get((l1, l2)) or REFERENCE_MEANS.get((l2, l1))
             if reference is not None:
                 check(f"{l1}-{l2} mean similarity", summary.mean_similarity, reference, 0.03)
-        root, steps = upgma_steps(to_distance(matrix))
-        print(f"  dendrogram: {to_newick(root)}")
-        (out / "dendrogram.nwk").write_text(to_newick(root) + "\n", encoding="utf-8")
+        for (l1, l2), exc in failures.items():
+            print(f"  [OFF] {l1}-{l2} not scorable: {exc}")
+        if failures:
+            print("  dendrogram skipped: not every language pair was scored")
+        else:
+            root, _ = upgma_steps(to_distance(matrix))
+            print(f"  dendrogram: {to_newick(root)}")
+            (out / "dendrogram.nwk").write_text(to_newick(root) + "\n", encoding="utf-8")
     else:
         print(f"== cognate divergence skipped (need >= 2 languages and {cognate_path}) ==")
 

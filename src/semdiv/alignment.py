@@ -4,12 +4,21 @@ pivot space, fit as a constrained least-squares rotation over seed pairs."""
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, FloatArray, lookup, normalize
+from .embeddings import (
+    DEFAULT_VOCAB_LIMIT,
+    EmbeddingSpace,
+    FloatArray,
+    load_embeddings,
+    lookup,
+    normalize,
+)
 
 # Third-party matrices are often only loosely orthogonal; warn past this.
 LOOSE_ORTHOGONALITY_TOL = 1e-3
@@ -199,21 +208,75 @@ def write_alignment_matrix(amap: AlignmentMap, path: str | Path) -> None:
             fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def shared_space_pair(
-    space_a: EmbeddingSpace,
-    space_b: EmbeddingSpace,
-    map_a: AlignmentMap,
-    map_b: AlignmentMap,
-) -> tuple[EmbeddingSpace, EmbeddingSpace]:
-    """Transform both spaces into a common pivot's coordinates and re-normalize,
-    making cross-language cosine meaningful."""
-    if map_a.target_language != map_b.target_language:
-        raise ValueError(
-            f"pivot mismatch: {map_a.target_language!r} vs {map_b.target_language!r}"
-        )
-    if map_a.dim != map_b.dim:
-        raise ValueError(f"dimension mismatch: {map_a.dim} vs {map_b.dim}")
-    return (
-        normalize(apply_alignment(space_a, map_a)),
-        normalize(apply_alignment(space_b, map_b)),
-    )
+@contextmanager
+def _about(language: str) -> Iterator[None]:
+    """Prefix errors raised in the block with the language they concern."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError subclasses ValueError; keep its type so callers can
+        # still tell numeric failures apart
+        raise np.linalg.LinAlgError(f"language {language!r}: {exc}") from exc
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"language {language!r}: {exc}") from exc
+
+
+def aligned_spaces(
+    languages: Sequence[str],
+    pivot: str,
+    embeddings: Mapping[str, str | Path],
+    alignments: Mapping[str, Mapping[str, str | Path]],
+    limit: int | None = DEFAULT_VOCAB_LIMIT,
+) -> Iterator[tuple[str, EmbeddingSpace, AlignmentMap]]:
+    """Yield (language, normalized space in its own coordinates, map into the
+    pivot) for each listed language, loading one language at a time.
+
+    The pivot gets the identity map; every other language uses its
+    ``{"matrix": path}`` or ``{"seeds": path}`` entry in ``alignments``. The
+    pivot's embeddings are loaded only when the pivot is listed or some listed
+    language is seed-aligned. Errors are prefixed with the language they
+    concern; a ``LinAlgError`` keeps its type.
+    """
+
+    def load(lang: str) -> EmbeddingSpace:
+        path = embeddings.get(lang)
+        if path is None:
+            raise ValueError("no embedding file configured")
+        return normalize(load_embeddings(path, lang, limit=limit))
+
+    seeded = any("seeds" in alignments.get(lang, {}) for lang in languages if lang != pivot)
+    pivot_space = None
+    if pivot in languages or seeded:
+        with _about(pivot):
+            pivot_space = load(pivot)
+    for lang in languages:
+        if lang == pivot:
+            yield lang, pivot_space, identity_alignment(lang, pivot_space.dim)
+            continue
+        with _about(lang):
+            own = load(lang)
+            entry = alignments.get(lang)
+            if entry is None:
+                raise ValueError("no alignment source configured")
+            if "matrix" in entry:
+                amap = load_alignment_matrix(entry["matrix"], lang, pivot)
+            else:
+                seeds = load_seed_lexicon(entry["seeds"], lang, pivot)
+                amap = learn_alignment(own, pivot_space, seeds)
+        yield lang, own, amap
+
+
+def shared_spaces(
+    languages: Sequence[str],
+    pivot: str,
+    embeddings: Mapping[str, str | Path],
+    alignments: Mapping[str, Mapping[str, str | Path]],
+    limit: int | None = DEFAULT_VOCAB_LIMIT,
+) -> dict[str, EmbeddingSpace]:
+    """Each listed language mapped into pivot coordinates and re-normalized,
+    making cross-language cosine meaningful. The pivot's space is used as
+    loaded, without an identity product."""
+    shared: dict[str, EmbeddingSpace] = {}
+    for lang, space, amap in aligned_spaces(languages, pivot, embeddings, alignments, limit):
+        shared[lang] = space if lang == pivot else normalize(apply_alignment(space, amap))
+    return shared

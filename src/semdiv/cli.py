@@ -16,30 +16,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (
-    AlignmentMap,
-    apply_alignment,
-    identity_alignment,
-    learn_alignment,
-    load_alignment_matrix,
-    load_seed_lexicon,
-    write_alignment_matrix,
-)
+from .alignment import aligned_spaces, shared_spaces, write_alignment_matrix
 from .clustering import to_distance, upgma_steps, write_merge_csv, write_newick
 from .divergence import (
-    LanguagePairSummary,
     extreme_pairs,
     histogram,
-    language_pair_divergence,
     load_cognate_sets,
+    matrix_from_summaries,
+    pairwise_summaries,
     read_similarity_csv,
     write_histogram_csv,
     write_scores_csv,
     write_similarity_csv,
     write_summary_json,
 )
-from .embeddings import DEFAULT_VOCAB_LIMIT, EmbeddingSpace, load_embeddings, lookup_index
-from .embeddings import normalize as normalize_space
+from .embeddings import DEFAULT_VOCAB_LIMIT, lookup_index
 from .evaluation import (
     eval_to_json,
     evaluate,
@@ -67,7 +58,6 @@ _CONFIG_KEYS = {
     "threshold",
     "histogram",
     "out",
-    "seed",
 }
 
 
@@ -75,7 +65,7 @@ _CONFIG_KEYS = {
 class RunConfig:
     """Declarative run description. ``alignments`` maps each non-pivot language
     to either {"seeds": path} or {"matrix": path}; the pivot always gets the
-    identity map. ``seed`` is reserved for synthetic-data workflows."""
+    identity map. A ``limit`` of 0, from the file or the flag, means no limit."""
 
     languages: list[str] = field(default_factory=list)
     pivot: str = ""
@@ -86,7 +76,10 @@ class RunConfig:
     threshold: float = DEFAULT_THRESHOLD
     histogram: bool = False
     out: str = "out"
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.limit == 0:
+            self.limit = None
 
     @classmethod
     def load(cls, path: str | Path) -> RunConfig:
@@ -113,22 +106,20 @@ class RunConfig:
         return config
 
     def override(self, args: argparse.Namespace) -> RunConfig:
-        updated = dataclasses.replace(self)
+        changes = {}
         if getattr(args, "langs", None):
-            updated.languages = [l for l in args.langs.split(",") if l]
+            changes["languages"] = [l for l in args.langs.split(",") if l]
         if getattr(args, "pivot", None):
-            updated.pivot = args.pivot
+            changes["pivot"] = args.pivot
         if getattr(args, "limit", None) is not None:
-            updated.limit = None if args.limit == 0 else args.limit
+            changes["limit"] = args.limit
         if getattr(args, "threshold", None) is not None:
-            updated.threshold = args.threshold
+            changes["threshold"] = args.threshold
         if getattr(args, "histogram", None):
-            updated.histogram = True
+            changes["histogram"] = True
         if getattr(args, "out", None):
-            updated.out = args.out
-        if getattr(args, "seed", None) is not None:
-            updated.seed = args.seed
-        return updated
+            changes["out"] = args.out
+        return dataclasses.replace(self, **changes)
 
     def validate(self) -> None:
         if not self.languages:
@@ -165,52 +156,6 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _load_space(config: RunConfig, lang: str) -> EmbeddingSpace:
-    path = config.embeddings.get(lang)
-    if path is None:
-        raise ValueError(f"no embedding file configured for language {lang!r}")
-    return normalize_space(load_embeddings(path, lang, limit=config.limit))
-
-
-def _alignment_for(
-    config: RunConfig,
-    lang: str,
-    own: EmbeddingSpace,
-    pivot_space: EmbeddingSpace | None,
-) -> AlignmentMap:
-    if lang == config.pivot:
-        return identity_alignment(lang, own.dim)
-    entry = config.alignments.get(lang)
-    if entry is None:
-        raise ValueError(f"no alignment source configured for language {lang!r}")
-    if "matrix" in entry:
-        return load_alignment_matrix(entry["matrix"], lang, config.pivot)
-    seeds = load_seed_lexicon(entry["seeds"], lang, config.pivot)
-    if pivot_space is None:
-        raise ValueError(f"seed alignment for {lang!r} needs the pivot embeddings")
-    return learn_alignment(own, pivot_space, seeds)
-
-
-def _shared_spaces(config: RunConfig, langs: list[str]) -> dict[str, EmbeddingSpace]:
-    """Load, align into pivot coordinates, and re-normalize each language."""
-    needs_pivot_space = any(
-        "seeds" in config.alignments.get(lang, {}) for lang in langs if lang != config.pivot
-    )
-    pivot_space = None
-    if config.pivot in langs or needs_pivot_space:
-        pivot_space = _load_space(config, config.pivot)
-
-    shared: dict[str, EmbeddingSpace] = {}
-    for lang in langs:
-        if lang == config.pivot:
-            shared[lang] = pivot_space
-            continue
-        own = _load_space(config, lang)
-        amap = _alignment_for(config, lang, own, pivot_space)
-        shared[lang] = normalize_space(apply_alignment(own, amap))
-    return shared
-
-
 def _require_two_langs(config: RunConfig) -> tuple[str, str]:
     if len(config.languages) != 2:
         raise ValueError(
@@ -228,26 +173,12 @@ def cmd_align(config: RunConfig) -> int:
     orthogonality report."""
     config.validate()
     out = _out_dir(config)
-    needs_pivot = any(
-        "seeds" in config.alignments.get(lang, {})
-        for lang in config.languages
-        if lang != config.pivot
-    )
-    pivot_space = _load_space(config, config.pivot) if needs_pivot else None
-
+    # leaving the pivot out of the list spares loading it unless a seed fit needs it
+    others = [lang for lang in config.languages if lang != config.pivot]
     report_lines = []
-    for lang in config.languages:
-        if lang == config.pivot:
-            continue
-        try:
-            own = _load_space(config, lang)
-            amap = _alignment_for(config, lang, own, pivot_space)
-        except np.linalg.LinAlgError as exc:
-            # LinAlgError subclasses ValueError; keep its type so the exit
-            # code stays 2
-            raise np.linalg.LinAlgError(f"language {lang!r}: {exc}") from exc
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"language {lang!r}: {exc}") from exc
+    for lang, _, amap in aligned_spaces(
+        others, config.pivot, config.embeddings, config.alignments, config.limit
+    ):
         write_alignment_matrix(amap, out / f"alignment_{lang}_to_{config.pivot}.txt")
         residual = amap.orthogonality_residual()
         report_lines.append(f"{lang}\t{residual:.3e}")
@@ -270,28 +201,13 @@ def cmd_divergence(config: RunConfig) -> int:
     if len(config.languages) < 2:
         raise ValueError("divergence needs at least two languages")
     out = _out_dir(config)
-    spaces = _shared_spaces(config, config.languages)
+    spaces = shared_spaces(
+        config.languages, config.pivot, config.embeddings, config.alignments, config.limit
+    )
     cognates = load_cognate_sets(config.cognates)
-
-    summaries: dict[tuple[str, str], LanguagePairSummary] = {}
-    failures: list[tuple[str, str, str]] = []
-    for i, lang1 in enumerate(config.languages):
-        for lang2 in config.languages[i + 1 :]:
-            try:
-                summaries[(lang1, lang2)] = language_pair_divergence(
-                    cognates, lang1, lang2, spaces
-                )
-            except ValueError as exc:
-                failures.append((lang1, lang2, str(exc)))
-
-    n = len(config.languages)
-    index = {lang: i for i, lang in enumerate(config.languages)}
-    values = np.full((n, n), np.nan)
-    np.fill_diagonal(values, 1.0)
-    for (lang1, lang2), summary in summaries.items():
-        i, j = index[lang1], index[lang2]
-        values[i, j] = values[j, i] = summary.mean_similarity
-    write_similarity_csv(config.languages, values, out / "similarity_matrix.csv")
+    summaries, failures = pairwise_summaries(cognates, config.languages, spaces)
+    matrix = matrix_from_summaries(config.languages, summaries)
+    write_similarity_csv(matrix.labels, matrix.values, out / "similarity_matrix.csv")
 
     extreme_rows = []
     for (lang1, lang2), summary in summaries.items():
@@ -314,10 +230,10 @@ def cmd_divergence(config: RunConfig) -> int:
 
     if failures:
         with (out / "errors.txt").open("w", encoding="utf-8", newline="\n") as fh:
-            for lang1, lang2, message in failures:
-                fh.write(f"{lang1}-{lang2}: {message}\n")
-        for lang1, lang2, message in failures:
-            print(f"error: {lang1}-{lang2}: {message}", file=sys.stderr)
+            for (lang1, lang2), exc in failures.items():
+                fh.write(f"{lang1}-{lang2}: {exc}\n")
+        for (lang1, lang2), exc in failures.items():
+            print(f"error: {lang1}-{lang2}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -345,7 +261,9 @@ def cmd_falsefriends(config: RunConfig) -> int:
         raise ValueError("config: falsefriends needs a cognate file")
     lang1, lang2 = _require_two_langs(config)
     out = _out_dir(config)
-    spaces = _shared_spaces(config, [lang1, lang2])
+    spaces = shared_spaces(
+        [lang1, lang2], config.pivot, config.embeddings, config.alignments, config.limit
+    )
     cognates = load_cognate_sets(config.cognates)
     batch = detect_batch(cognates, lang1, lang2, spaces, threshold=config.threshold)
     write_report_tsv(batch, out / f"falsefriends_{lang1}_{lang2}.tsv")
@@ -388,7 +306,9 @@ def cmd_evaluate(config: RunConfig, gold_path: str | None, synset_path: str | No
         if not gold:
             raise ValueError("no gold labels derivable: no pair has both words in the synsets")
 
-    spaces = _shared_spaces(config, [lang1, lang2])
+    spaces = shared_spaces(
+        [lang1, lang2], config.pivot, config.embeddings, config.alignments, config.limit
+    )
     predictions = []
     for pair in gold:
         if (
@@ -431,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="output directory")
     shared.add_argument("--histogram", action="store_true", default=None,
                         help="also write score histograms")
-    shared.add_argument("--seed", type=int, help="random seed for synthetic-data workflows")
 
     parser = argparse.ArgumentParser(
         prog="semdiv",

@@ -105,7 +105,10 @@ def _cluster_name(node: DendrogramNode) -> str:
     return "+".join(sorted(node.leaves()))
 
 
-def _run_upgma(dist: DistanceMatrix) -> tuple[DendrogramNode, list[MergeStep]]:
+def upgma_steps(dist: DistanceMatrix) -> tuple[DendrogramNode, list[MergeStep]]:
+    """Agglomerate by repeatedly merging the closest clusters at half their
+    distance; inter-cluster distance is the size-weighted mean over all
+    cross-pairs. Returns the dendrogram root and the merges in order."""
     labels = dist.labels
     n = len(labels)
     if n < 2:
@@ -160,18 +163,6 @@ def _run_upgma(dist: DistanceMatrix) -> tuple[DendrogramNode, list[MergeStep]]:
         active = [k for k in active if k not in (i, j)] + [new_id]
 
     return nodes[active[0]], steps
-
-
-def upgma(dist: DistanceMatrix) -> DendrogramNode:
-    """Agglomerate by repeatedly merging the closest clusters at half their
-    distance; inter-cluster distance is the size-weighted mean over all
-    cross-pairs."""
-    root, _ = _run_upgma(dist)
-    return root
-
-
-def upgma_steps(dist: DistanceMatrix) -> tuple[DendrogramNode, list[MergeStep]]:
-    return _run_upgma(dist)
 
 
 def to_newick(root: DendrogramNode) -> str:

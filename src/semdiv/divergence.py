@@ -185,40 +185,47 @@ def extreme_pairs(summary: LanguagePairSummary) -> tuple[CognatePairScore, Cogna
 
 def histogram(summary: LanguagePairSummary) -> Histogram:
     edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
-    counts = [0] * HISTOGRAM_BINS
-    for score in summary.scores:
-        idx = int(np.searchsorted(edges, score.similarity, side="right")) - 1
-        if idx >= HISTOGRAM_BINS:
-            idx = HISTOGRAM_BINS - 1
-        if idx < 0:
-            idx = 0
-        counts[idx] += 1
-    return Histogram(tuple(float(e) for e in edges), tuple(counts))
+    sims = np.array([s.similarity for s in summary.scores], dtype=np.float64)
+    # bin k holds [edges[k], edges[k+1]); 1.0 falls past the last edge and is
+    # clipped into the last bin, which closes it
+    bins = np.clip(np.searchsorted(edges, sims, side="right") - 1, 0, HISTOGRAM_BINS - 1)
+    counts = np.bincount(bins, minlength=HISTOGRAM_BINS)
+    return Histogram(tuple(float(e) for e in edges), tuple(int(c) for c in counts))
 
 
 def pairwise_summaries(
     cognates: Sequence[CognateSet],
     languages: Sequence[str],
     spaces: Mapping[str, EmbeddingSpace],
-) -> dict[tuple[str, str], LanguagePairSummary]:
-    """One summary per unordered language pair, keyed in input-list order."""
+) -> tuple[dict[tuple[str, str], LanguagePairSummary], dict[tuple[str, str], ValueError]]:
+    """One summary per unordered language pair, keyed in input-list order,
+    plus the error of each pair that could not be scored; a failing pair
+    leaves the others untouched."""
     if len(languages) < 2:
         raise ValueError("need at least 2 languages")
     if len(set(languages)) != len(languages):
         raise ValueError("duplicate languages")
-    out: dict[tuple[str, str], LanguagePairSummary] = {}
+    summaries: dict[tuple[str, str], LanguagePairSummary] = {}
+    failures: dict[tuple[str, str], ValueError] = {}
     for i, lang1 in enumerate(languages):
         for lang2 in languages[i + 1 :]:
-            out[(lang1, lang2)] = language_pair_divergence(cognates, lang1, lang2, spaces)
-    return out
+            try:
+                summaries[(lang1, lang2)] = language_pair_divergence(
+                    cognates, lang1, lang2, spaces
+                )
+            except ValueError as exc:
+                failures[(lang1, lang2)] = exc
+    return summaries, failures
 
 
 def matrix_from_summaries(
     languages: Sequence[str],
     summaries: Mapping[tuple[str, str], LanguagePairSummary],
 ) -> SimilarityMatrix:
+    """Unit diagonal, mirrored pair means, NaN for pairs without a summary."""
     n = len(languages)
-    values = np.eye(n)
+    values = np.full((n, n), np.nan)
+    np.fill_diagonal(values, 1.0)
     index = {lang: i for i, lang in enumerate(languages)}
     for (lang1, lang2), summary in summaries.items():
         i, j = index[lang1], index[lang2]
@@ -232,8 +239,12 @@ def similarity_matrix(
     spaces: Mapping[str, EmbeddingSpace],
 ) -> SimilarityMatrix:
     """Symmetric matrix of mean cognate similarities with unit diagonal; each
-    unordered pair is computed once and mirrored."""
-    return matrix_from_summaries(languages, pairwise_summaries(cognates, languages, spaces))
+    unordered pair is computed once and mirrored. Raises the first pair's
+    error if any pair fails."""
+    summaries, failures = pairwise_summaries(cognates, languages, spaces)
+    if failures:
+        raise next(iter(failures.values()))
+    return matrix_from_summaries(languages, summaries)
 
 
 # ---------------------------------------------------------------------------

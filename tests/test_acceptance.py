@@ -26,9 +26,9 @@ from semdiv.alignment import (
     SeedLexicon,
     apply_alignment,
     learn_alignment,
-    load_alignment_matrix,
+    shared_spaces,
 )
-from semdiv.clustering import DistanceMatrix, to_distance, to_newick, upgma, upgma_steps
+from semdiv.clustering import DistanceMatrix, to_distance, to_newick, upgma_steps
 from semdiv.divergence import (
     CognatePairScore,
     CognateSet,
@@ -40,7 +40,6 @@ from semdiv.divergence import (
     load_cognate_sets,
     similarity_matrix,
 )
-from semdiv.embeddings import load_embeddings, normalize
 from semdiv.evaluation import as_percent, evaluate, load_gold_pairs
 from semdiv.falsefriends import Falseness, classify, detect
 
@@ -260,8 +259,8 @@ def test_c6_newick_stable_under_label_permutation(seed, n):
     entries = (raw + raw.T) / 2.0
     np.fill_diagonal(entries, 0.0)
     perm = rng.permutation(n)
-    base = upgma(DistanceMatrix(labels, entries))
-    shuffled = upgma(
+    base, _ = upgma_steps(DistanceMatrix(labels, entries))
+    shuffled, _ = upgma_steps(
         DistanceMatrix(tuple(labels[i] for i in perm), entries[np.ix_(perm, perm)])
     )
     assert to_newick(base) == to_newick(shuffled)
@@ -282,12 +281,13 @@ def _have(*relative):
     return DATA_DIR is not None and all(_data_path(p).exists() for p in relative)
 
 
-def _full_scale_space(lang, into_pivot=True):
-    space = normalize(load_embeddings(_data_path(f"embeddings/wiki.{lang}.vec"), lang))
-    if into_pivot and lang != "en":
-        amap = load_alignment_matrix(_data_path(f"alignments/{lang}_to_en.txt"), lang, "en")
-        space = apply_alignment(space, amap)
-    return normalize(space)
+def _romance_spaces(*langs):
+    return shared_spaces(
+        langs,
+        "en",
+        {l: _data_path(f"embeddings/wiki.{l}.vec") for l in langs},
+        {l: {"matrix": _data_path(f"alignments/{l}_to_en.txt")} for l in langs},
+    )
 
 
 needs = pytest.mark.skipif(
@@ -304,7 +304,7 @@ def test_c7_romance_similarity_means():
     if not _have(*required):
         pytest.skip("missing embeddings, alignment matrices, or cognate list")
     cognates = load_cognate_sets(_data_path("cognates/cognates.tsv"))
-    spaces = {l: _full_scale_space(l) for l in ("es", "pt", "fr", "it", "ro", "la")}
+    spaces = _romance_spaces("es", "pt", "fr", "it", "ro", "la")
 
     es_pt = language_pair_divergence(cognates, "es", "pt", spaces)
     assert abs(es_pt.mean_similarity - 0.70) <= 0.03
@@ -328,7 +328,7 @@ def test_c8_curated_es_pt_evaluation():
     if not _have(*required):
         pytest.skip("missing embeddings, alignment matrices, or curated gold list")
     gold = load_gold_pairs(_data_path("gold/es_pt_curated.tsv"), "es", "pt")
-    spaces = {l: _full_scale_space(l) for l in ("es", "pt")}
+    spaces = _romance_spaces("es", "pt")
     predictions = []
     for pair in gold:
         try:
@@ -350,7 +350,7 @@ def test_c9_prix_prez_verdict():
     ]
     if not _have(*required):
         pytest.skip("missing embeddings or alignment matrices")
-    spaces = {l: _full_scale_space(l) for l in ("fr", "es")}
+    spaces = _romance_spaces("fr", "es")
     report = detect("prix", "prez", spaces["fr"], spaces["es"])
     assert report.is_false_friend
     assert report.correction == "premio"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_orthogonal, space_of, unit_rows
+from helpers import random_orthogonal, space_of, unit_rows, write_matrix, write_vec
 from semdiv.alignment import (
     AlignmentMap,
     SeedLexicon,
@@ -12,7 +12,7 @@ from semdiv.alignment import (
     learn_alignment,
     load_alignment_matrix,
     load_seed_lexicon,
-    shared_space_pair,
+    shared_spaces,
     write_alignment_matrix,
 )
 from semdiv.divergence import cosine_similarity
@@ -209,17 +209,27 @@ class TestLoadMatrix:
 
 
 class TestSharedSpacePair:
-    def test_identity_maps_return_normalized_inputs(self):
-        rng = np.random.default_rng(11)
-        a = space_of("aa", ["x"], 2 * unit_rows(1, 3, rng))
-        b = space_of("bb", ["y"], 3 * unit_rows(1, 3, rng))
-        out_a, out_b = shared_space_pair(
-            a, b, AlignmentMap("aa", "pv", np.eye(3)), AlignmentMap("bb", "pv", np.eye(3))
-        )
-        assert np.allclose(out_a.vectors, normalize(a).vectors, atol=1e-15)
-        assert np.allclose(out_b.vectors, normalize(b).vectors, atol=1e-15)
+    """Two languages loaded from files and put into one pivot's coordinates."""
 
-    def test_planted_rotation_restores_cross_cosines(self):
+    def test_identity_maps_return_normalized_inputs(self, tmp_path):
+        rng = np.random.default_rng(11)
+        a_rows = 2 * unit_rows(1, 3, rng)
+        b_rows = 3 * unit_rows(1, 3, rng)
+        write_vec(tmp_path / "aa.vec", ["x"], a_rows)
+        write_vec(tmp_path / "bb.vec", ["y"], b_rows)
+        write_matrix(tmp_path / "bb_to_aa.txt", np.eye(3))
+        out = shared_spaces(
+            ["aa", "bb"],
+            "aa",
+            {"aa": tmp_path / "aa.vec", "bb": tmp_path / "bb.vec"},
+            {"bb": {"matrix": tmp_path / "bb_to_aa.txt"}},
+        )
+        assert np.allclose(out["aa"].vectors, normalize(space_of("aa", ["x"], a_rows)).vectors,
+                           atol=1e-15)
+        assert np.allclose(out["bb"].vectors, normalize(space_of("bb", ["y"], b_rows)).vectors,
+                           atol=1e-15)
+
+    def test_planted_rotation_restores_cross_cosines(self, tmp_path):
         rng = np.random.default_rng(12)
         rotation = random_orthogonal(6, rng)
         a_pivot = unit_rows(8, 6, rng)
@@ -227,22 +237,29 @@ class TestSharedSpacePair:
         before = [
             cosine_similarity(a_pivot[i], b_pivot[i]) for i in range(8)
         ]
-        a = space_of("aa", [f"a{i}" for i in range(8)], a_pivot @ rotation, normalized=True)
-        b = space_of("bb", [f"b{i}" for i in range(8)], b_pivot, normalized=True)
-        out_a, out_b = shared_space_pair(
-            a, b,
-            AlignmentMap("aa", "pv", rotation.T),
-            AlignmentMap("bb", "pv", np.eye(6)),
+        write_vec(tmp_path / "aa.vec", [f"a{i}" for i in range(8)], a_pivot @ rotation)
+        write_vec(tmp_path / "bb.vec", [f"b{i}" for i in range(8)], b_pivot)
+        write_matrix(tmp_path / "aa_to_bb.txt", rotation.T)
+        out = shared_spaces(
+            ["aa", "bb"],
+            "bb",
+            {"aa": tmp_path / "aa.vec", "bb": tmp_path / "bb.vec"},
+            {"aa": {"matrix": tmp_path / "aa_to_bb.txt"}},
         )
-        after = [cosine_similarity(out_a.vectors[i], out_b.vectors[i]) for i in range(8)]
+        after = [cosine_similarity(out["aa"].vectors[i], out["bb"].vectors[i]) for i in range(8)]
         assert np.abs(np.array(after) - np.array(before)).max() < 1e-6
 
-    def test_pivot_mismatch(self):
-        a = space_of("aa", ["x"], [[1.0, 0.0]])
-        b = space_of("bb", ["y"], [[0.0, 1.0]])
-        with pytest.raises(ValueError, match="pivot mismatch"):
-            shared_space_pair(
-                a, b, AlignmentMap("aa", "en", np.eye(2)), AlignmentMap("bb", "es", np.eye(2))
+    def test_pivot_mismatch(self, tmp_path):
+        # a seed-aligned language whose dimension disagrees with the pivot's
+        write_vec(tmp_path / "aa.vec", ["x"], [[1.0, 0.0]])
+        write_vec(tmp_path / "bb.vec", ["y"], [[0.0, 1.0, 0.0]])
+        (tmp_path / "seeds.tsv").write_text("y\tx\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="language 'bb': dimension mismatch"):
+            shared_spaces(
+                ["aa", "bb"],
+                "aa",
+                {"aa": tmp_path / "aa.vec", "bb": tmp_path / "bb.vec"},
+                {"bb": {"seeds": tmp_path / "seeds.tsv"}},
             )
 
 

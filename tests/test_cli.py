@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import build_eval_project, write_matrix, write_vec
-from semdiv.cli import main
+from semdiv.cli import RunConfig, main
 
 
 def run(*argv):
@@ -61,6 +61,17 @@ class TestAlign:
         assert run("align", "--config", config) == 0
         written = read_matrix_file(tmp_path / "out" / "alignment_ee_to_aa.txt")
         assert np.abs(written - np.eye(8)).max() < 1e-6
+
+    def test_all_matrix_config_never_parses_pivot(self, toy_project, capsys):
+        (toy_project.root / "broken.vec").write_text("not a vector file\n", encoding="utf-8")
+        config = json.loads(toy_project.config.read_text())
+        config["embeddings"]["aa"] = "broken.vec"
+        broken_pivot = toy_project.root / "broken_pivot.json"
+        broken_pivot.write_text(json.dumps(config), encoding="utf-8")
+        assert run("align", "--config", broken_pivot) == 0
+        # the file is really unreadable: a command that needs the pivot fails on it
+        assert run("divergence", "--config", broken_pivot) == 1
+        assert "language 'aa'" in capsys.readouterr().err
 
     def test_missing_seed_file_names_language(self, toy_project, capsys):
         config = json.loads(toy_project.config_seeds.read_text())
@@ -321,8 +332,17 @@ class TestConfigHandling:
         assert run("align", "--config", bad) == 1
         assert "identity" in capsys.readouterr().err
 
-    def test_seed_flag_accepted(self, toy_project):
-        assert run("align", "--config", toy_project.config, "--seed", "5") == 0
+    def test_limit_zero_in_config_loads_every_row(self, toy_project):
+        config = json.loads(toy_project.config.read_text())
+        config["limit"] = 0
+        unlimited = toy_project.root / "unlimited.json"
+        unlimited.write_text(json.dumps(config), encoding="utf-8")
+        assert RunConfig.load(unlimited).limit is None
+        assert run("divergence", "--config", unlimited) == 0
+        summary = json.loads((toy_project.out / "divergence_summary.json").read_text())
+        assert [(p["scored_count"], p["skipped_oov_count"]) for p in summary["pairs"]] == [
+            (4, 0)
+        ] * 3
 
     def test_numeric_failure_exits_2(self, toy_project, monkeypatch, capsys):
         def broken_svd(*args, **kwargs):

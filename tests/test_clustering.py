@@ -10,7 +10,6 @@ from semdiv.clustering import (
     canonical_form,
     to_distance,
     to_newick,
-    upgma,
     upgma_steps,
 )
 from semdiv.divergence import SimilarityMatrix
@@ -87,7 +86,7 @@ class TestToDistance:
 class TestUpgma:
     def test_two_leaves_join_at_half_distance(self):
         dist = DistanceMatrix(("X", "Y"), [[0.0, 0.3], [0.3, 0.0]])
-        root = upgma(dist)
+        root = upgma_steps(dist)[0]
         assert root.height == pytest.approx(0.15, abs=1e-15)
         assert root.size == 2
 
@@ -119,7 +118,7 @@ class TestUpgma:
 
     def test_single_label_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            upgma(DistanceMatrix(("A",), [[0.0]]))
+            upgma_steps(DistanceMatrix(("A",), [[0.0]]))
 
     def test_tie_breaks_lexicographically(self):
         # every pair at the same distance: first merge must be {a, b}
@@ -142,7 +141,7 @@ class TestUpgma:
     def test_leaf_count_and_coverage(self, seed, n):
         rng = np.random.default_rng(seed)
         labels = tuple(f"L{i}" for i in range(n))
-        root = upgma(DistanceMatrix(labels, random_distance(rng, n)))
+        root = upgma_steps(DistanceMatrix(labels, random_distance(rng, n)))[0]
         assert root.size == n
         assert sorted(root.leaves()) == sorted(labels)
 
@@ -157,7 +156,7 @@ class TestUpgma:
             ]
         )
         dist = DistanceMatrix(("a", "b", "c", "d"), entries)
-        root = upgma(dist)
+        root = upgma_steps(dist)[0]
         coph = cophenetic(root)
         for i, x in enumerate(dist.labels):
             for j in range(i + 1, 4):
@@ -170,8 +169,8 @@ class TestUpgma:
         labels = tuple(f"L{i}" for i in range(n))
         entries = random_distance(rng, n)
         perm = rng.permutation(n)
-        base = upgma(DistanceMatrix(labels, entries))
-        shuffled = upgma(
+        base = upgma_steps(DistanceMatrix(labels, entries))[0]
+        shuffled, _ = upgma_steps(
             DistanceMatrix(
                 tuple(labels[i] for i in perm), entries[np.ix_(perm, perm)]
             )
@@ -182,11 +181,11 @@ class TestUpgma:
 
 class TestNewick:
     def test_two_leaf_form(self):
-        root = upgma(DistanceMatrix(("X", "Y"), [[0.0, 0.3], [0.3, 0.0]]))
+        root = upgma_steps(DistanceMatrix(("X", "Y"), [[0.0, 0.3], [0.3, 0.0]]))[0]
         assert to_newick(root) == "(X:0.1500,Y:0.1500);"
 
     def test_four_leaf_form(self):
-        root = upgma(four_leaf_fixture())
+        root = upgma_steps(four_leaf_fixture())[0]
         assert to_newick(root) == "(((A:1.0000,B:1.0000):1.0000,C:2.0000):1.0000,D:3.0000);"
 
     def test_single_leaf(self):

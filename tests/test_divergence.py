@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import space_of, unit_rows
 from semdiv.divergence import (
+    HISTOGRAM_BINS,
     CognatePairScore,
     CognateSet,
     LanguagePairSummary,
@@ -16,6 +17,8 @@ from semdiv.divergence import (
     histogram,
     language_pair_divergence,
     load_cognate_sets,
+    matrix_from_summaries,
+    pairwise_summaries,
     read_similarity_csv,
     score_pair,
     similarity_matrix,
@@ -207,10 +210,24 @@ class TestHistogram:
         assert hist.bin_edges[-1] == 1.0
         assert all(a < b for a, b in zip(hist.bin_edges, hist.bin_edges[1:]))
 
+    @pytest.mark.parametrize("k", range(51))
+    def test_edge_lands_in_its_own_bin(self, k):
+        # edges[k] opens bin k; the last edge, 1.0, is closed into bin 49
+        edge = float(np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)[k])
+        hist = histogram(summary_of([edge]))
+        assert hist.bin_edges[k] == edge
+        assert hist.counts[min(k, HISTOGRAM_BINS - 1)] == 1
+
     @given(st.lists(st.floats(-1, 1), min_size=1, max_size=200))
     def test_counts_conserved(self, sims):
         hist = histogram(summary_of(sims))
         assert sum(hist.counts) == len(sims)
+        # reference: bin each score on its own, closing the last bin at 1.0
+        expected = [0] * HISTOGRAM_BINS
+        for s in sims:
+            k = int(np.searchsorted(hist.bin_edges, s, side="right")) - 1
+            expected[min(max(k, 0), HISTOGRAM_BINS - 1)] += 1
+        assert list(hist.counts) == expected
 
 
 def three_language_setup():
@@ -247,6 +264,17 @@ class TestSimilarityMatrix:
         second = similarity_matrix(cognates, ["l3", "l1", "l2"], spaces)
         perm = [first.labels.index(lab) for lab in second.labels]
         assert np.array_equal(second.values, first.values[np.ix_(perm, perm)])
+
+    def test_failing_pair_reported_beside_the_others(self):
+        cognates, spaces = three_language_setup()
+        del spaces["l3"]
+        summaries, failures = pairwise_summaries(cognates, ["l1", "l2", "l3"], spaces)
+        assert list(summaries) == [("l1", "l2")]
+        assert list(failures) == [("l1", "l3"), ("l2", "l3")]
+        matrix = matrix_from_summaries(["l1", "l2", "l3"], summaries)
+        assert np.isnan(matrix.values[0, 2]) and np.isnan(matrix.values[2, 1])
+        with pytest.raises(ValueError, match="no embedding space for language 'l3'"):
+            similarity_matrix(cognates, ["l1", "l2", "l3"], spaces)
 
     def test_needs_two_languages(self):
         cognates, spaces = three_language_setup()
